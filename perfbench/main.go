@@ -107,6 +107,11 @@ func run(workload string, seed uint64, p params, traced bool, dir string, w io.W
 				res.Metrics[mt.name] = metricValue{mt.value, mt.unit}
 			}
 		}
+		for name := range gated {
+			if _, ok := res.Metrics[name]; !ok {
+				return nil, fmt.Errorf("%s: end-to-end metric %s not measured", workload, name)
+			}
+		}
 	} else {
 		tr := newTracer()
 		tl := &leg{p: p, seed: seed, work: filepath.Join(work, "traced"), tr: tr, lg: tr.log(0), layers: map[string]float64{}}
@@ -180,11 +185,14 @@ func report(w io.Writer, workload string, measured []metric, res *result) {
 }
 
 // gated names the end-to-end metrics the result line carries and
-// BENCHMARK.json bounds. The workloads also measure ack_p99_ms and
-// lookup_p99_ms; those are printed but not gated, because on a two-core
-// virtual machine their run-to-run spread exceeds any bound the result
-// can be held to (see METRICS.md). ops_failed_ratio is 0 on every correct
-// run, so it rides the result line as the attempted and failed counts.
+// BENCHMARK.json bounds; every workload measures each of them. The serve
+// phases also report topk_p90_ms, summary_p90_ms, ack_p99_ms and
+// lookup_p99_ms where a run gives them enough samples; those are printed
+// but not gated (see METRICS.md): a range summary is too slow on the
+// windowed workloads for a p90's 100 samples, and the p99s spread between
+// runs beyond any bound the result can be held to. ops_failed_ratio is 0
+// on every correct run, so it rides the result line as the attempted and
+// failed counts.
 var gated = map[string]bool{
 	"setup_s":              true,
 	"ingest_rate":          true,
@@ -194,9 +202,7 @@ var gated = map[string]bool{
 	"ack_p50_ms":           true,
 	"lookup_p50_ms":        true,
 	"topk_p50_ms":          true,
-	"topk_p90_ms":          true,
 	"summary_p50_ms":       true,
-	"summary_p90_ms":       true,
 }
 
 // metadata describes the machine and build a result came from.

@@ -68,18 +68,25 @@ func smokeParams() params {
 	p.setupReps = 3
 	p.segments = 3
 	p.recoverReps = 2
-	p.batchPool = 64 * p.batchFrame
+	p.recoverTime = 0
+	// Windows a sixteenth of the full size keep each range query short
+	// enough for the read cycles to reach their sample counts.
+	p.batched.frame /= 16
+	p.batched.poolFrames = 256
+	p.batched.period = 25 * time.Millisecond
+	p.mixed.poolFrames = 256
+	p.mixed.warm = 6 * time.Second
+	p.mixed.readRange = time.Second
+	p.mixed.serve = 1.0 / 2
 	p.tinyPool = 1 << 14
-	p.history = time.Second
-	p.readRange = time.Second
+	p.tinyServe = 1.0 / 2
 	p.replayEntries = 1 << 14
 	return p
 }
 
 // TestSmoke runs every workload at tiny size, untraced and traced, and
-// checks that together they print every metric BENCHMARK.json names:
-// each end-to-end metric on some workload, each per-layer metric on every
-// traced run.
+// checks that each prints every metric BENCHMARK.json names, in its unit:
+// the end-to-end metrics untraced, the per-layer metrics traced.
 func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every workload")
@@ -96,7 +103,6 @@ func TestSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &bench); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]string{}
 	for _, w := range bench.Workloads {
 		for _, traced := range []bool{false, true} {
 			var out bytes.Buffer
@@ -111,23 +117,20 @@ func TestSmoke(t *testing.T) {
 			if !strings.HasPrefix(lines[0], `{"meta":`) {
 				t.Errorf("%s: first line %q is not the metadata", w.Name, lines[0])
 			}
-			for name, v := range res.Metrics {
-				seen[name] = v.Unit
-			}
+			want := bench.EndToEnd
 			if traced {
-				for _, m := range bench.PerLayer {
-					if _, ok := res.Metrics[m.Name]; !ok {
-						t.Errorf("%s traced: per-layer metric %s not printed", w.Name, m.Name)
-					}
+				want = bench.PerLayer
+			}
+			for _, m := range want {
+				if v, ok := res.Metrics[m.Name]; !ok {
+					t.Errorf("%s traced=%v: metric %s not printed", w.Name, traced, m.Name)
+				} else if v.Unit != m.Unit {
+					t.Errorf("%s traced=%v: metric %s printed in %s, BENCHMARK.json says %s", w.Name, traced, m.Name, v.Unit, m.Unit)
 				}
 			}
-		}
-	}
-	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
-		if unit, ok := seen[m.Name]; !ok {
-			t.Errorf("metric %s not printed by any workload", m.Name)
-		} else if unit != m.Unit {
-			t.Errorf("metric %s printed in %s, BENCHMARK.json says %s", m.Name, unit, m.Unit)
+			if len(res.Metrics) != len(want) {
+				t.Errorf("%s traced=%v: %d metrics printed, BENCHMARK.json names %d", w.Name, traced, len(res.Metrics), len(want))
+			}
 		}
 	}
 }

@@ -29,6 +29,8 @@ const (
 	opLookup
 	opTopK
 	opSummary
+	opFlatTopK
+	opFlatSummary
 	opServerNew
 	opServerClose
 	opStoreOpen
@@ -42,6 +44,8 @@ const (
 	opViewEntries
 	opShardSummary
 	opShardEntries
+	opShardLookup
+	opShardTopK
 	opProtoReplay
 	opWALReplay
 	opHierReplay
@@ -60,6 +64,8 @@ var opNames = [numOps]string{
 	opLookup:       "hhgbclient.Lookup",
 	opTopK:         "hhgbclient.RangeTopSources",
 	opSummary:      "hhgbclient.RangeSummary",
+	opFlatTopK:     "hhgbclient.TopSources",
+	opFlatSummary:  "hhgbclient.Summary",
 	opServerNew:    "server.New",
 	opServerClose:  "server.Close",
 	opStoreOpen:    "hhgb.Open",
@@ -73,6 +79,8 @@ var opNames = [numOps]string{
 	opViewEntries:  "window.RangeView.Entries",
 	opShardSummary: "shard.Sharded.Summary",
 	opShardEntries: "shard.Sharded.Entries",
+	opShardLookup:  "shard.Sharded.Lookup",
+	opShardTopK:    "shard.Sharded.TopSources",
 	opProtoReplay:  "proto.replay",
 	opWALReplay:    "wal.replay",
 	opHierReplay:   "hier.replay",

@@ -45,3 +45,11 @@ func median(xs []float64) float64 {
 	}
 	return (s[n/2-1] + s[n/2]) / 2
 }
+
+func sum(xs []float64) float64 {
+	var t float64
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -18,54 +19,78 @@ import (
 // params sizes the workloads. defaultParams is what the benchmark runs;
 // the smoke test shrinks it.
 type params struct {
-	seconds     time.Duration // timed phase of every workload
+	seconds     time.Duration // measured time of every run
 	segments    int           // closed-loop rate samples per run
 	setupReps   int           // stacks opened to take the setup_s median
-	recoverReps int           // recoveries timed to take the recover_s median
+	recoverReps int           // fewest recoveries timed for the recover_s median
+	recoverTime time.Duration // and recoveries continue until this much time is spent
 	lateness    time.Duration // windowed stores' out-of-orderness budget
-
-	// ingest-batched
-	retain     []time.Duration // per-level retention
-	batchFrame int             // entries per frame
-	batchPool  int             // distinct edges cycled through (a multiple of batchFrame)
-	eventRate  int             // entries per second of event time
-
-	// ingest-tiny
-	tinyPool int // edges per connection, cycled
-
-	// serve-mixed
-	mixedFrame  int           // entries per frame
-	mixedPeriod time.Duration // open-loop frame interval
-	history     time.Duration // event time pre-seeded before timing
-	readRange   time.Duration // span of the range queries
 	lookups     int           // Lookups per read cycle
+	minCycles   int           // fewest read cycles a serve phase completes
+
+	batched, mixed windowedLoad
+
+	tinyPool   int           // ingest-tiny: edges per connection, cycled
+	tinyPeriod time.Duration // ingest-tiny: serve-phase frame interval
+	tinyServe  float64       // ingest-tiny: share of seconds spent serving
 
 	replayEntries int // entries fed through the proto/wal/hier replay legs
 }
 
+// windowedLoad shapes a windowed workload: a durable windowed store fed
+// frames of one size, each stamped one fixed step of event time after the
+// last, first in a closed loop and then in a serve phase.
+type windowedLoad struct {
+	frame      int             // entries per frame
+	frameDur   time.Duration   // event time between consecutive frames
+	poolFrames int             // distinct frames cycled through
+	retain     []time.Duration // per-level retention
+	warm       time.Duration   // event time streamed, untimed, before the closed loop
+	serve      float64         // share of seconds spent serving
+	period     time.Duration   // serve-phase frame interval
+	readRange  time.Duration   // span of the range queries
+	// sealed: the range queries read the newest span sealed when the
+	// serve phase starts; otherwise the most recent readRange, sliding.
+	sealed bool
+}
+
 func defaultParams(seconds int) params {
+	// Fine windows stay 10 s, past the 4 s roll-up span plus lateness so
+	// each rolls up before it expires. Bounded retention keeps the store
+	// at a steady size however fast the run ingests, so memory, disk and
+	// recovery are per retained entry and the serve phase reads a store
+	// of the same shape on every run.
 	return params{
 		seconds:     time.Duration(seconds) * time.Second,
 		segments:    10,
-		setupReps:   21,
+		setupReps:   101,
 		recoverReps: 7,
+		recoverTime: 4 * time.Second,
 		lateness:    5 * time.Second,
-		// Fine windows stay 10 s, past the 4 s roll-up span plus lateness
-		// so each rolls up before it expires; roll-ups stay 12 s. Bounded
-		// retention keeps the store at a steady size however fast the run
-		// ingests, so memory, disk and recovery are per retained entry.
-		retain:        []time.Duration{10 * time.Second, 12 * time.Second},
-		batchFrame:    4096,
-		batchPool:     512 * 4096,
-		eventRate:     1 << 18,
-		tinyPool:      1 << 20,
-		mixedFrame:    16,
-		mixedPeriod:   2 * time.Millisecond,
-		history:       30 * time.Second,
-		readRange:     8 * time.Second,
-		lookups:       8,
+		lookups:     8,
+		minCycles:   25,
+		batched: windowedLoad{
+			frame: 4096, frameDur: time.Second * 4096 / (1 << 18), poolFrames: 512,
+			retain: []time.Duration{10 * time.Second, 12 * time.Second}, warm: 6 * time.Second,
+			serve: 1.0 / 3, period: 60 * time.Millisecond, readRange: time.Second, sealed: true,
+		},
+		mixed: windowedLoad{
+			frame: 256, frameDur: 10 * time.Millisecond, poolFrames: 1 << 11,
+			retain: []time.Duration{10 * time.Second, 40 * time.Second}, warm: 45 * time.Second,
+			serve: 1.0 / 3, period: 10 * time.Millisecond, readRange: 8 * time.Second,
+		},
+		tinyPool:      1 << 15,
+		tinyPeriod:    time.Millisecond,
+		tinyServe:     1.0 / 4,
 		replayEntries: 1 << 20,
 	}
+}
+
+// split divides the measured time into the closed-loop phase and the
+// serve phase that takes the given share of it.
+func (p params) split(serve float64) (ingest, served time.Duration) {
+	served = time.Duration(float64(p.seconds) * serve)
+	return p.seconds - served, served
 }
 
 // base is the event time the windowed workloads start at.
@@ -87,6 +112,7 @@ type leg struct {
 	lg   *spanLog
 
 	metrics   []metric
+	acks      ackRecorder // connection 0's ack round trips in the serve phase
 	attempted atomic.Int64
 	failed    atomic.Int64
 	problems  []string
@@ -144,11 +170,45 @@ func (f *firstErr) set(err error) {
 	f.mu.Unlock()
 }
 
-func sessionOpts(i int, frame int) []hhgbclient.Option {
-	return []hhgbclient.Option{
-		hhgbclient.WithSession(fmt.Sprintf("perfbench-%d", i)),
-		hhgbclient.WithFlushEntries(frame),
+// clientOpts returns the Dial options of connection i: a session, frames
+// of the given size shipped as soon as they fill, and on connection 0, the
+// serve phase's writer, the ack round-trip observer.
+func (l *leg) clientOpts(frame int) func(i int) []hhgbclient.Option {
+	return func(i int) []hhgbclient.Option {
+		o := []hhgbclient.Option{
+			hhgbclient.WithSession(fmt.Sprintf("perfbench-%d", i)),
+			hhgbclient.WithFlushEntries(frame),
+		}
+		if i == 0 {
+			o = append(o, hhgbclient.WithAckLatency(l.acks.observe))
+		}
+		return o
 	}
+}
+
+// ackRecorder keeps the ack round trips observed while it is on.
+type ackRecorder struct {
+	on  atomic.Bool
+	mu  sync.Mutex
+	rtt []time.Duration
+}
+
+func (a *ackRecorder) observe(d time.Duration) {
+	if a.on.Load() {
+		a.mu.Lock()
+		a.rtt = append(a.rtt, d)
+		a.mu.Unlock()
+	}
+}
+
+// stop turns recording off and hands over what was recorded.
+func (a *ackRecorder) stop() []time.Duration {
+	a.on.Store(false)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	rtt := a.rtt
+	a.rtt = nil
+	return rtt
 }
 
 // keepFrames records a prefix of the frames sent, for the replay legs.
@@ -158,25 +218,30 @@ func (l *leg) keepFrames(src, dst []uint64, frame int) {
 	}
 }
 
-// runBatched is ingest-batched: two sessioned connections stream
-// 4096-entry timestamped frames in a closed loop into the durable windowed
-// store. Frames are claimed in order from one counter, so event time
-// advances at eventRate and windows seal and roll up during the run.
-func runBatched(l *leg) error {
+// runBatched is ingest-batched: 4096-entry frames stamped at 2^18
+// entries per second of event time, so windows seal and roll up during
+// the closed loop; the serve phase continues the stream at a frame every
+// 60 ms while the reads query the newest sealed window.
+func runBatched(l *leg) error { return runWindowed(l, "ingest-batched", l.p.batched) }
+
+// runMixed is serve-mixed: 256-entry frames stamped 10 ms apart. The
+// closed loop back-fills history; the serve phase sends a frame every
+// 10 ms, so event time runs with the wall clock and each frame's event time
+// is its due time, while the reads query the most recent 8 s.
+func runMixed(l *leg) error { return runWindowed(l, "serve-mixed", l.p.mixed) }
+
+// runWindowed runs a windowed workload. Two sessioned connections stream
+// timestamped frames in a closed loop into the durable windowed store,
+// claiming frames in order from one counter so event time advances a
+// fixed step per frame. The serve phase then continues the same stream
+// open-loop on connection 0 while connection 1 runs the read cycle. The
+// store is then checked, closed and recovered.
+func runWindowed(l *leg, name string, w windowedLoad) error {
 	p := l.p
-	baseline := liveHeap()
-	pool := struct{ src, dst []uint64 }{}
-	var err error
-	if pool.src, pool.dst, err = edges(p.batchPool, l.seed); err != nil {
-		return err
-	}
-	if l.tr != nil {
-		l.keepFrames(pool.src, pool.dst, p.batchFrame)
-	}
 	setup := l.lg.open(opPhaseSetup, 0)
 	r, setupS, err := setupRig(rigConfig{
-		windowed: true, lateness: p.lateness, retain: p.retain, traced: l.tr != nil, conns: 2,
-		clientOpts: func(i int) []hhgbclient.Option { return sessionOpts(i, p.batchFrame) },
+		windowed: true, lateness: p.lateness, retain: w.retain, traced: l.tr != nil, conns: 2,
+		clientOpts: l.clientOpts(w.frame),
 	}, l.work, p.setupReps, l.lg, l.lg.id(setup))
 	l.lg.close(setup)
 	if err != nil {
@@ -184,26 +249,33 @@ func runBatched(l *leg) error {
 	}
 	defer r.close(nil, 0)
 	l.add("setup_s", "s", setupS)
+	// The memory baseline is the empty stack, clients dialed, taken
+	// before the edges are drawn.
+	baseline := liveHeap()
+	pool := struct{ src, dst []uint64 }{}
+	if pool.src, pool.dst, err = edges(w.poolFrames*w.frame, l.seed); err != nil {
+		return err
+	}
+	if l.tr != nil {
+		l.keepFrames(pool.src, pool.dst, w.frame)
+	}
 
-	frameDur := time.Duration(int64(time.Second) * int64(p.batchFrame) / int64(p.eventRate))
-	poolFrames := int64(p.batchPool / p.batchFrame)
 	var next atomic.Int64
+	at := func(k int64) time.Time { return base.Add(time.Duration(k) * w.frameDur) }
 	send := func(i int) (int, error) {
 		k := next.Add(1) - 1
-		off := (k % poolFrames) * int64(p.batchFrame)
-		src, dst := pool.src[off:off+int64(p.batchFrame)], pool.dst[off:off+int64(p.batchFrame)]
-		return p.batchFrame, r.clients[i].AppendAt(base.Add(time.Duration(k)*frameDur), src, dst)
+		off := (k % int64(w.poolFrames)) * int64(w.frame)
+		src, dst := pool.src[off:off+int64(w.frame)], pool.dst[off:off+int64(w.frame)]
+		return w.frame, r.clients[i].AppendAt(at(k), src, dst)
 	}
 	// Warm-up, untimed: no window seals until the watermark is a lateness
-	// budget past its end, so stream that much event time first and time
-	// only the steady state of seals, checkpoints and roll-ups.
-	warm := 0 // entries sent outside the timed phase
-	for time.Duration(next.Load())*frameDur < p.lateness+windowDur {
-		n, err := send(0)
-		if l.op(err) != nil {
+	// budget past its end, and the store grows until retention expires
+	// windows as fast as they seal, so stream that much event time first
+	// and time only the steady state of seals, roll-ups and expiry.
+	for time.Duration(next.Load())*w.frameDur < w.warm {
+		if _, err := send(0); l.op(err) != nil {
 			return fmt.Errorf("warm-up: %w", err)
 		}
-		warm += n
 	}
 	if err := l.op(r.clients[0].Flush()); err != nil {
 		return fmt.Errorf("warm-up flush: %w", err)
@@ -212,27 +284,55 @@ func runBatched(l *leg) error {
 	if err != nil {
 		return err
 	}
-	rate, sent, err := closedLoop(l, r.clients, send)
+	ingest, serveFor := p.split(w.serve)
+	rate, err := closedLoop(l, r.clients, p.segments, ingest/time.Duration(p.segments), send, nil)
 	if err != nil {
 		return err
+	}
+	l.add("ingest_rate", "inserts/s", rate)
+	l.primary = rate
+
+	span := func(time.Duration) (time.Time, time.Time) {
+		t1 := at(next.Load())
+		return t1.Add(-w.readRange), t1
+	}
+	if w.sealed {
+		// The newest span sealed at the start takes no more writes, so its
+		// shard results stay cached, and it outlives the serve phase's
+		// advance of event time inside the retention.
+		t1 := base.Add((time.Duration(next.Load())*w.frameDur - p.lateness).Truncate(windowDur))
+		t0 := t1.Add(-w.readRange)
+		span = func(time.Duration) (time.Time, time.Time) { return t0, t1 }
+	}
+	probe := [2]uint64{pool.src[0], pool.dst[0]}
+	sr, err := serve(l, r, serveSpec{
+		dur: serveFor, period: w.period, probe: probe, span: span,
+		send: func(int) error { _, err := send(0); return err },
+	})
+	if err != nil {
+		return err
+	}
+	if err := l.serveMetrics(sr, w.period); err != nil {
+		return err
+	}
+	if !w.sealed {
+		l.latency = true
+		if v, err := sr.lookups.percentile(50); err == nil {
+			l.primary = v
+		}
 	}
 	// Top up, untimed, to the next roll-up boundary of event time, so
 	// every run ends with the same shape of retained windows and the
 	// per-entry memory, disk and recovery figures compare like for like.
-	span := int64(rollUp*windowDur) / int64(frameDur)
-	for next.Load()%span != 0 {
-		n, err := send(0)
-		if l.op(err) != nil {
+	rollSpan := int64(rollUp*windowDur) / int64(w.frameDur)
+	for next.Load()%rollSpan != 0 {
+		if _, err := send(0); l.op(err) != nil {
 			return fmt.Errorf("top-up: %w", err)
 		}
-		warm += n
 	}
 	if err := l.op(r.clients[0].Flush()); err != nil {
 		return fmt.Errorf("top-up flush: %w", err)
 	}
-	n := warm + sent[0] + sent[1]
-	l.add("ingest_rate", "inserts/s", rate)
-	l.primary = rate
 	if l.scrape, err = scrapeDelta(r.reg, before); err != nil {
 		return err
 	}
@@ -240,8 +340,6 @@ func runBatched(l *leg) error {
 	verify := l.lg.open(opPhaseVerify, 0)
 	defer l.lg.close(verify)
 	vid := l.lg.id(verify)
-	r.closeClients(l.lg, vid)
-	pool.src, pool.dst = nil, nil
 	all, err := allTime(r.wm, l.lg, vid)
 	if err != nil {
 		return err
@@ -251,21 +349,56 @@ func runBatched(l *leg) error {
 	frames := next.Load()
 	var held int64
 	for _, sp := range all.Spans() {
-		lo := min(max(int64(sp.Start.Sub(base)/frameDur), 0), frames)
-		hi := min(max(int64(sp.End.Sub(base)/frameDur), 0), frames)
-		held += (hi - lo) * int64(p.batchFrame)
-	}
-	if l.tr == nil {
-		l.add("mem_bytes_per_entry", "B", float64(int64(liveHeap())-int64(baseline))/float64(held))
+		lo := min(max(int64(sp.Start.Sub(base)/w.frameDur), 0), frames)
+		hi := min(max(int64(sp.End.Sub(base)/w.frameDur), 0), frames)
+		held += (hi - lo) * int64(w.frame)
 	}
 	total, entries, err := viewTotals(all, l.lg, vid)
 	if err != nil {
 		return err
 	}
-	l.check(frames*int64(p.batchFrame) == int64(n), "ingest-batched: %d frames claimed, %d inserts acked", frames, n)
-	l.check(total == uint64(held), "ingest-batched: store holds %d packets; its retained windows were sent %d", total, held)
+	l.check(total == uint64(held), "%s: store holds %d packets; its retained windows were sent %d", name, total, held)
 	ws := r.wm.WindowStats()
-	l.check(ws.LateDrops == 0, "ingest-batched: %d late drops", ws.LateDrops)
+	l.check(ws.LateDrops == 0, "%s: %d late drops", name, ws.LateDrops)
+
+	// Once ingest has stopped, wire answers over one fixed range equal
+	// the in-process answers.
+	t0, t1 := span(0)
+	reader := r.clients[1]
+	wv, wok, err1 := reader.Lookup(probe[0], probe[1])
+	wtop, err2 := reader.RangeTopSources(lookupTopK, t0, t1)
+	wsum, err3 := reader.RangeSummary(t0, t1)
+	if err := firstOf(l.op(err1), l.op(err2), l.op(err3)); err != nil {
+		return fmt.Errorf("%s verify: %w", name, err)
+	}
+	iv, iok, err1 := all.Lookup(probe[0], probe[1])
+	rg, err2 := r.wm.QueryRange(t0, t1)
+	if err := firstOf(err1, err2); err != nil {
+		return err
+	}
+	itop, err1 := rg.TopSources(lookupTopK)
+	isum, err2 := rg.Summary()
+	if err := firstOf(err1, err2); err != nil {
+		return err
+	}
+	l.check(wv == iv && wok == iok, "%s: wire Lookup %d/%v, in-process %d/%v", name, wv, wok, iv, iok)
+	l.check(slices.Equal(wtop, itop), "%s: wire RangeTopSources %v, in-process %v", name, wtop, itop)
+	l.check(wsum == isum, "%s: wire RangeSummary %+v, in-process %+v", name, wsum, isum)
+
+	pool.src, pool.dst, all, rg = nil, nil, nil, nil
+	if l.tr == nil {
+		l.add("mem_bytes_per_entry", "B", float64(int64(liveHeap())-int64(baseline))/float64(held))
+	}
+	r.closeClients(l.lg, vid)
+	return l.closeAndRecover(r, name, total, entries, held, vid)
+}
+
+// closeAndRecover closes the durable windowed store, reports its disk
+// bytes per held entry, and checks that recovery restores what the closed
+// store held. Untraced, recovery is timed recoverReps times on the same
+// directory and reported as the median; the traced leg recovers once
+// through the window layer itself, which reports what recovery did.
+func (l *leg) closeAndRecover(r *rig, workload string, total uint64, entries int, held int64, vid uint32) error {
 	if err := l.lg.timed(opStoreClose, vid, r.closeStore); err != nil {
 		return err
 	}
@@ -281,10 +414,8 @@ func runBatched(l *leg) error {
 	var rtotal uint64
 	var rentries int
 	if l.tr == nil {
-		// Recovery is timed recoverReps times on the same directory and
-		// reported as the median; the first recovered store is checked.
 		var times []float64
-		for i := 0; i < p.recoverReps; i++ {
+		for i := 0; i < l.p.recoverReps || sum(times) < l.p.recoverTime.Seconds(); i++ {
 			runtime.GC()
 			t0 := time.Now()
 			rec, err := hhgb.RecoverWindowed(r.dir)
@@ -301,8 +432,6 @@ func runBatched(l *leg) error {
 		}
 		l.add("recover_s", "s", median(times))
 	} else {
-		// The traced leg recovers through the window layer itself, which
-		// reports what recovery did.
 		var st window.RecoverStats
 		var s *window.Store[uint64]
 		err := l.lg.timed(opRecover, vid, func() error {
@@ -330,15 +459,28 @@ func runBatched(l *leg) error {
 		}
 	}
 	l.check(rtotal == total && rentries == entries,
-		"ingest-batched: recovered store holds %d packets / %d entries, closed store held %d / %d", rtotal, rentries, total, entries)
+		"%s: recovered store holds %d packets / %d entries, closed store held %d / %d", workload, rtotal, rentries, total, entries)
 	return nil
 }
 
 // runTiny is ingest-tiny: two connections send single-entry frames in a
 // closed loop into an in-memory flat store, so per-frame cost dominates.
+// The serve phase keeps connection 0 sending single-entry frames
+// open-loop while connection 1 runs all-time queries. The flat store has
+// no disk of its own: its entries are then written to a durable flat
+// store, whose size and recovery time are reported.
 func runTiny(l *leg) error {
 	p := l.p
-	baseline := liveHeap()
+	setup := l.lg.open(opPhaseSetup, 0)
+	r, setupS, err := setupRig(rigConfig{
+		traced: l.tr != nil, conns: 2, clientOpts: l.clientOpts(1),
+	}, l.work, p.setupReps, l.lg, l.lg.id(setup))
+	l.lg.close(setup)
+	if err != nil {
+		return err
+	}
+	defer r.close(nil, 0)
+	l.add("setup_s", "s", setupS)
 	pools := make([][2][]uint64, 2)
 	for i := range pools {
 		src, dst, err := edges(p.tinyPool, l.seed+uint64(i)*0x9e3779b9)
@@ -351,34 +493,55 @@ func runTiny(l *leg) error {
 		l.flat = true
 		l.keepFrames(pools[0][0], pools[0][1], 1)
 	}
-	setup := l.lg.open(opPhaseSetup, 0)
-	r, setupS, err := setupRig(rigConfig{
-		traced: l.tr != nil, conns: 2,
-		clientOpts: func(i int) []hhgbclient.Option { return sessionOpts(i, 1) },
-	}, l.work, p.setupReps, l.lg, l.lg.id(setup))
-	l.lg.close(setup)
-	if err != nil {
-		return err
-	}
-	defer r.close(nil, 0)
-	l.add("setup_s", "s", setupS)
+	// The memory baseline is the empty stack with the pools drawn; the
+	// store's growth is read at the end of each closed-loop segment,
+	// before any query has filled the shards' result caches.
+	baseline := liveHeap()
 	before, err := scrapeOf(r.reg)
 	if err != nil {
 		return err
 	}
 
 	var next [2]int // each connection's position in its own pool
-	rate, sent, err := closedLoop(l, r.clients, func(i int) (int, error) {
+	var mem []float64
+	send := func(i int) error {
 		k := next[i] % p.tinyPool
 		next[i]++
-		return 1, r.clients[i].Append(pools[i][0][k:k+1], pools[i][1][k:k+1])
+		return r.clients[i].Append(pools[i][0][k:k+1], pools[i][1][k:k+1])
+	}
+	ingest, serveFor := p.split(p.tinyServe)
+	rate, err := closedLoop(l, r.clients, p.segments, ingest/time.Duration(p.segments), func(i int) (int, error) {
+		return 1, send(i)
+	}, func() {
+		if l.tr == nil {
+			mem = append(mem, float64(int64(liveHeap())-int64(baseline))/float64(distinctSent(pools, next)))
+		}
 	})
 	if err != nil {
 		return err
 	}
-	n := sent[0] + sent[1]
 	l.add("ingest_rate", "inserts/s", rate)
 	l.primary = rate
+	// Per stored entry: the pools repeat, so the store's distinct entries
+	// stop growing with the inserts and a per-insert figure would fall
+	// with every extra second of ingest. The cascade's first level holds
+	// the inserts since its last merge, so the heap saws up and down as
+	// it fills and drains; the median over the segment ends reads the
+	// middle of that cycle instead of wherever one run happened to stop.
+	if l.tr == nil {
+		l.add("mem_bytes_per_entry", "B", median(mem))
+	}
+	sr, err := serve(l, r, serveSpec{
+		dur: serveFor, period: p.tinyPeriod,
+		send:  func(int) error { return send(0) },
+		probe: [2]uint64{pools[0][0][0], pools[0][1][0]},
+	})
+	if err != nil {
+		return err
+	}
+	if err := l.serveMetrics(sr, p.tinyPeriod); err != nil {
+		return err
+	}
 	if l.scrape, err = scrapeDelta(r.reg, before); err != nil {
 		return err
 	}
@@ -387,23 +550,8 @@ func runTiny(l *leg) error {
 	defer l.lg.close(verify)
 	vid := l.lg.id(verify)
 	r.closeClients(l.lg, vid)
-	// The benchmark's own count of the stream: the distinct pairs among
-	// every entry sent, each connection having cycled through its pool.
-	var keys []uint64
-	for i, pl := range pools {
-		for k := 0; k < min(sent[i], len(pl[0])); k++ {
-			keys = append(keys, pl[0][k]<<scale|pl[1][k])
-		}
-	}
-	slices.Sort(keys)
-	distinct := len(slices.Compact(keys))
-	keys, pools = nil, nil
-	// Per stored entry: the pools repeat, so the store's distinct entries
-	// stop growing with the inserts and a per-insert figure would fall
-	// with every extra second of ingest.
-	if l.tr == nil {
-		l.add("mem_bytes_per_entry", "B", float64(int64(liveHeap())-int64(baseline))/float64(distinct))
-	}
+	distinct := distinctSent(pools, next)
+	pools = nil
 	var sum hhgb.Summary
 	if err := l.lg.timed(opShardSummary, vid, func() (err error) { sum, err = r.flat.Summary(); return }); err != nil {
 		return err
@@ -412,30 +560,100 @@ func runTiny(l *leg) error {
 	if err := l.lg.timed(opShardEntries, vid, func() (err error) { entries, err = r.flat.Entries(); return }); err != nil {
 		return err
 	}
+	n := next[0] + next[1]
 	l.check(sum.TotalPackets == uint64(n), "ingest-tiny: store holds %d packets after %d acked inserts", sum.TotalPackets, n)
 	l.check(entries == distinct, "ingest-tiny: store holds %d distinct entries, the stream had %d", entries, distinct)
 	if l.tr != nil {
 		st := r.flat.Stats()
 		cascadeLayers(l.layers, st.Updates, st.Cascades, st.CascadedEntries)
+		return nil
 	}
+	return l.flatDurable(r.flat, filepath.Join(l.work, "flat-durable"), sum.TotalPackets, entries)
+}
+
+// distinctSent is the benchmark's own count of the stream: the distinct
+// pairs among every entry sent, connection i having sent the first next[i]
+// entries of its pool, cycling.
+func distinctSent(pools [][2][]uint64, next [2]int) int {
+	var keys []uint64
+	for i, pl := range pools {
+		for k := 0; k < min(next[i], len(pl[0])); k++ {
+			keys = append(keys, pl[0][k]<<scale|pl[1][k])
+		}
+	}
+	slices.Sort(keys)
+	return len(slices.Compact(keys))
+}
+
+// flatDurable writes every entry of the flat store into a durable flat
+// store in dir, closes it, and reports the bytes it leaves on disk per
+// entry and the median time hhgb.Recover takes to reopen it, checking the
+// recovered store against the original.
+func (l *leg) flatDurable(st *hhgb.Sharded, dir string, total uint64, entries int) error {
+	var src, dst, w []uint64
+	if err := st.Do(func(s, d, v uint64) bool {
+		src, dst, w = append(src, s), append(dst, d), append(w, v)
+		return true
+	}); err != nil {
+		return err
+	}
+	d, err := hhgb.NewSharded(dim, hhgb.WithShards(shards), hhgb.WithDurability(dir))
+	if err != nil {
+		return err
+	}
+	const chunk = 4096
+	for off := 0; off < len(src) && err == nil; off += chunk {
+		end := min(off+chunk, len(src))
+		err = d.AppendWeighted(src[off:end], dst[off:end], w[off:end])
+	}
+	if err := firstOf(err, d.Close()); err != nil {
+		return fmt.Errorf("durable copy: %w", err)
+	}
+	src, dst, w = nil, nil, nil
+	disk, err := dirBytes(dir)
+	if err != nil {
+		return err
+	}
+	l.add("disk_bytes_per_entry", "B", float64(disk)/float64(entries))
+	var times []float64
+	var rsum hhgb.Summary
+	var rentries int
+	for i := 0; i < l.p.recoverReps || sum(times) < l.p.recoverTime.Seconds(); i++ {
+		runtime.GC()
+		t0 := time.Now()
+		rec, err := hhgb.Recover(dir)
+		if err != nil {
+			return fmt.Errorf("recover: %w", err)
+		}
+		times = append(times, time.Since(t0).Seconds())
+		if i == 0 {
+			if rsum, err = rec.Summary(); err == nil {
+				rentries, err = rec.Entries()
+			}
+		}
+		if err := firstOf(err, rec.Close()); err != nil {
+			return err
+		}
+	}
+	l.add("recover_s", "s", median(times))
+	l.check(rsum.TotalPackets == total && rentries == entries,
+		"ingest-tiny: recovered durable copy holds %d packets / %d entries, the store held %d / %d", rsum.TotalPackets, rentries, total, entries)
 	return nil
 }
 
-// closedLoop drives every client in a closed loop for p.seconds, split
-// into p.segments segments that each end with every client's Flush. A
-// segment's rate is the entries its appends carried over its time through
-// the last Flush; the result is the median segment rate, so one stall on
-// a shared machine moves it less than it moves a single run-long rate.
-// send appends one frame on client i and returns its entry count; sent
-// counts each client's entries.
-func closedLoop(l *leg, clients []*hhgbclient.Client, send func(i int) (int, error)) (rate float64, sent []int, err error) {
+// closedLoop drives every client in a closed loop for segments segments
+// of segLen, each ending with every client's Flush, after which done (if
+// not nil) runs. A segment's rate is the entries its appends carried over
+// its time through the last Flush; the result is the median segment rate,
+// so one stall on a shared machine moves it less than it moves a single
+// run-long rate. send appends one frame on client i and returns its entry
+// count.
+func closedLoop(l *leg, clients []*hhgbclient.Client, segments int, segLen time.Duration, send func(i int) (int, error), done func()) (rate float64, err error) {
 	run := l.lg.open(opPhaseRun, 0)
 	defer l.lg.close(run)
 	runID := l.lg.id(run)
-	sent = make([]int, len(clients))
-	segLen := l.p.seconds / time.Duration(l.p.segments)
 	var rates []float64
-	for seg := 0; seg < l.p.segments; seg++ {
+	for seg := 0; seg < segments; seg++ {
 		var wg sync.WaitGroup
 		var fe firstErr
 		segSent := make([]int, len(clients))
@@ -463,111 +681,82 @@ func closedLoop(l *leg, clients []*hhgbclient.Client, send func(i int) (int, err
 		}
 		wg.Wait()
 		if fe.err != nil {
-			return 0, nil, fe.err
+			return 0, fe.err
 		}
 		total := 0
-		for i, n := range segSent {
-			sent[i] += n
+		for _, n := range segSent {
 			total += n
 		}
 		rates = append(rates, float64(total)/time.Since(start).Seconds())
-	}
-	return median(rates), sent, nil
-}
-
-// runMixed is serve-mixed: a durable windowed store pre-seeded with
-// history, connection 1 streaming frames on an open-loop schedule with
-// event time equal to each frame's due time, and connection 2 running a
-// closed-loop read cycle over the most recent readRange.
-func runMixed(l *leg) error {
-	p := l.p
-	histFrames := int(p.history / p.mixedPeriod)
-	runFrames := int(p.seconds/p.mixedPeriod) + 1
-	src, dst, err := edges((histFrames+runFrames)*p.mixedFrame, l.seed)
-	if err != nil {
-		return err
-	}
-	if l.tr != nil {
-		l.keepFrames(src, dst, p.mixedFrame)
-	}
-	frame := func(j int) ([]uint64, []uint64) {
-		off := j * p.mixedFrame
-		return src[off : off+p.mixedFrame], dst[off : off+p.mixedFrame]
-	}
-	var rttMu sync.Mutex
-	var rtts []time.Duration
-	observe := func(d time.Duration) {
-		rttMu.Lock()
-		rtts = append(rtts, d)
-		rttMu.Unlock()
-	}
-	setup := l.lg.open(opPhaseSetup, 0)
-	r, setupS, err := setupRig(rigConfig{
-		windowed: true, lateness: p.lateness, traced: l.tr != nil, conns: 2,
-		clientOpts: func(i int) []hhgbclient.Option {
-			o := sessionOpts(i, p.mixedFrame)
-			if i == 0 {
-				o = append(o, hhgbclient.WithAckLatency(observe))
-			}
-			return o
-		},
-	}, l.work, p.setupReps, l.lg, l.lg.id(setup))
-	l.lg.close(setup)
-	if err != nil {
-		return err
-	}
-	defer r.close(nil, 0)
-	l.add("setup_s", "s", setupS)
-	writer, reader := r.clients[0], r.clients[1]
-
-	// Pre-seed the history, untimed.
-	for j := 0; j < histFrames; j++ {
-		s, d := frame(j)
-		if err := l.op(writer.AppendAt(base.Add(time.Duration(j)*p.mixedPeriod), s, d)); err != nil {
-			return fmt.Errorf("seed: %w", err)
+		if done != nil {
+			done()
 		}
 	}
-	if err := l.op(writer.Flush()); err != nil {
-		return fmt.Errorf("seed flush: %w", err)
-	}
-	rttMu.Lock()
-	seeded := len(rtts)
-	rttMu.Unlock()
-	probeSrc, probeDst := src[0], dst[0]
-	evStart := base.Add(p.history)
-	before, err := scrapeOf(r.reg)
-	if err != nil {
-		return err
-	}
+	return median(rates), nil
+}
 
+// serveSpec is a workload's serve phase: connection 0 ships frames on an
+// open-loop schedule while connection 1 runs a closed-loop read cycle of
+// lookups Lookups of one pair, one top-10 sources query and one summary.
+type serveSpec struct {
+	dur, period time.Duration
+	send        func(j int) error // ships the phase's j-th frame on connection 0
+	probe       [2]uint64         // the pair every Lookup asks for
+	// span returns the event-time range a read cycle starting elapsed
+	// into the phase queries. nil on the flat store, whose queries are
+	// all-time.
+	span func(elapsed time.Duration) (t0, t1 time.Time)
+}
+
+// served is what a serve phase measured.
+type served struct {
+	late, acks              samples // generator lateness; ack latency from due time
+	lookups, topks, sums    samples // wire round trips
+	inLookup, inTopK, inSum samples // in-process twins (traced leg only)
+}
+
+// serve runs a serve phase. The traced leg follows every wire query with
+// the same query made in process on the store, for the client overhead.
+func serve(l *leg, r *rig, sv serveSpec) (*served, error) {
+	writer, reader := r.clients[0], r.clients[1]
+	// Nothing is in flight when recording starts, so every ack recorded
+	// belongs to a frame of this phase.
+	if err := l.op(writer.Flush()); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	l.acks.on.Store(true)
+	dur := sv.dur
+	if l.tr != nil {
+		// Each wire query is followed by its in-process twin, halving the
+		// read cycles; twice the time keeps both at the untraced count.
+		dur *= 2
+	}
 	run := l.lg.open(opPhaseRun, 0)
 	runID := l.lg.id(run)
 	start := time.Now()
-	deadline := start.Add(p.seconds)
-	var late []time.Duration
-	var lookups, topks, sums samples
-	var inLookup, inTopK, inSum samples
+	deadline := start.Add(dur)
+	s := &served{}
 	var wg sync.WaitGroup
 	var fe firstErr
+	var readDone atomic.Bool
 	wg.Add(2)
-	go func() { // the open-loop writer
+	go func() { // the open-loop writer, on schedule until the reader is done
 		defer wg.Done()
 		lg := l.tr.log(1)
 		for j := 0; ; j++ {
-			due := start.Add(time.Duration(j) * p.mixedPeriod)
-			if !due.Before(deadline) {
+			due := start.Add(time.Duration(j) * sv.period)
+			if !due.Before(deadline) && readDone.Load() {
 				break
 			}
 			if d := time.Until(due); d > 0 {
 				time.Sleep(d)
 			}
-			late = append(late, time.Since(due))
-			s, d := frame(histFrames + j)
+			s.late = append(s.late, time.Since(due))
 			h := lg.open(opAppend, runID)
-			err := l.op(writer.AppendAt(evStart.Add(time.Duration(j)*p.mixedPeriod), s, d))
+			err := l.op(sv.send(j))
 			lg.close(h)
 			if err != nil {
-				fe.set(fmt.Errorf("writer AppendAt: %w", err))
+				fe.set(fmt.Errorf("writer: %w", err))
 				return
 			}
 		}
@@ -577,6 +766,7 @@ func runMixed(l *leg) error {
 	}()
 	go func() { // the closed-loop reader
 		defer wg.Done()
+		defer readDone.Store(true)
 		lg := l.tr.log(2)
 		timedOp := func(o op, into *samples, f func() error) bool {
 			h := lg.open(o, runID)
@@ -589,82 +779,95 @@ func runMixed(l *leg) error {
 			}
 			return err == nil
 		}
-		for time.Now().Before(deadline) {
-			t1 := evStart.Add(time.Since(start))
-			t0 := t1.Add(-p.readRange)
-			for i := 0; i < p.lookups; i++ {
-				if !timedOp(opLookup, &lookups, func() error { _, _, err := reader.Lookup(probeSrc, probeDst); return err }) {
+		src, dst := sv.probe[0], sv.probe[1]
+		// A phase slowed by a busy host still completes minCycles read
+		// cycles, enough for each median, by running past its deadline.
+		for cycles := 0; time.Now().Before(deadline) || cycles < l.p.minCycles; cycles++ {
+			for i := 0; i < l.p.lookups; i++ {
+				if !timedOp(opLookup, &s.lookups, func() error { _, _, err := reader.Lookup(src, dst); return err }) {
 					return
 				}
-				if l.tr != nil && !timedOp(opViewLookup, &inLookup, func() error {
-					v, err := r.wm.AllTime()
+				if l.tr == nil {
+					continue
+				}
+				twin := func() (err error) { _, _, err = r.flat.Lookup(src, dst); return }
+				o := opShardLookup
+				if r.wm != nil {
+					o, twin = opViewLookup, func() error {
+						v, err := r.wm.AllTime()
+						if err == nil {
+							_, _, err = v.Lookup(src, dst)
+						}
+						return err
+					}
+				}
+				if !timedOp(o, &s.inLookup, twin) {
+					return
+				}
+			}
+			if sv.span == nil {
+				ok := timedOp(opFlatTopK, &s.topks, func() error { _, err := reader.TopSources(lookupTopK); return err }) &&
+					(l.tr == nil || timedOp(opShardTopK, &s.inTopK, func() error { _, err := r.flat.TopSources(lookupTopK); return err })) &&
+					timedOp(opFlatSummary, &s.sums, func() error { _, err := reader.Summary(); return err }) &&
+					(l.tr == nil || timedOp(opShardSummary, &s.inSum, func() error { _, err := r.flat.Summary(); return err }))
+				if !ok {
+					return
+				}
+				continue
+			}
+			t0, t1 := sv.span(time.Since(start))
+			inRange := func(f func(v *hhgb.RangeView) error) func() error {
+				return func() error {
+					v, err := r.wm.QueryRange(t0, t1)
 					if err == nil {
-						_, _, err = v.Lookup(probeSrc, probeDst)
+						err = f(v)
 					}
 					return err
-				}) {
-					return
 				}
 			}
-			if !timedOp(opTopK, &topks, func() error { _, err := reader.RangeTopSources(lookupTopK, t0, t1); return err }) {
-				return
-			}
-			if l.tr != nil && !timedOp(opViewTopK, &inTopK, func() error {
-				v, err := r.wm.QueryRange(t0, t1)
-				if err == nil {
-					_, err = v.TopSources(lookupTopK)
-				}
-				return err
-			}) {
-				return
-			}
-			if !timedOp(opSummary, &sums, func() error { _, err := reader.RangeSummary(t0, t1); return err }) {
-				return
-			}
-			if l.tr != nil && !timedOp(opViewSummary, &inSum, func() error {
-				v, err := r.wm.QueryRange(t0, t1)
-				if err == nil {
-					_, err = v.Summary()
-				}
-				return err
-			}) {
+			ok := timedOp(opTopK, &s.topks, func() error { _, err := reader.RangeTopSources(lookupTopK, t0, t1); return err }) &&
+				(l.tr == nil || timedOp(opViewTopK, &s.inTopK, inRange(func(v *hhgb.RangeView) error { _, err := v.TopSources(lookupTopK); return err }))) &&
+				timedOp(opSummary, &s.sums, func() error { _, err := reader.RangeSummary(t0, t1); return err }) &&
+				(l.tr == nil || timedOp(opViewSummary, &s.inSum, inRange(func(v *hhgb.RangeView) error { _, err := v.Summary(); return err })))
+			if !ok {
 				return
 			}
 		}
 	}()
 	wg.Wait()
 	l.lg.close(run)
+	rtt := l.acks.stop()
 	if fe.err != nil {
-		return fe.err
+		return nil, fe.err
 	}
-	if l.scrape, err = scrapeDelta(r.reg, before); err != nil {
-		return err
-	}
-
 	// Each frame's ack latency runs from its due time: the generator's
 	// lateness plus the wire round trip from ship to ack.
-	rttMu.Lock()
-	runRTT := rtts[seeded:]
-	rttMu.Unlock()
-	if len(runRTT) != len(late) {
-		return fmt.Errorf("serve-mixed: %d acks observed for %d frames sent", len(runRTT), len(late))
+	if len(rtt) != len(s.late) {
+		return nil, fmt.Errorf("serve: %d acks observed for %d frames sent", len(rtt), len(s.late))
 	}
-	acks := make(samples, len(late))
-	for j := range late {
-		acks[j] = late[j] + runRTT[j]
+	s.acks = make(samples, len(s.late))
+	for j := range s.late {
+		s.acks[j] = s.late[j] + rtt[j]
 	}
-	// The traced leg runs fewer read cycles (each wire op is followed by
-	// its in-process twin), too few for the tails; it reports medians only.
+	return s, nil
+}
+
+// serveMetrics reports a serve phase: the end-to-end latencies on the
+// untraced leg, the generator's lateness and the client overheads on the
+// traced one. A generator that fell ever further behind its schedule
+// marks the run invalid.
+func (l *leg) serveMetrics(s *served, period time.Duration) error {
+	if err := generatorBacklog(s.late, period); err != nil {
+		l.check(false, "invalid run: %v", err)
+	}
 	if l.tr == nil {
 		for _, m := range []struct {
 			name string
 			s    samples
 			pct  float64
 		}{
-			{"ack_p50_ms", acks, 50}, {"ack_p99_ms", acks, 99},
-			{"lookup_p50_ms", lookups, 50}, {"lookup_p99_ms", lookups, 99},
-			{"topk_p50_ms", topks, 50}, {"topk_p90_ms", topks, 90},
-			{"summary_p50_ms", sums, 50}, {"summary_p90_ms", sums, 90},
+			{"ack_p50_ms", s.acks, 50}, {"lookup_p50_ms", s.lookups, 50},
+			{"topk_p50_ms", s.topks, 50}, {"summary_p50_ms", s.sums, 50},
 		} {
 			v, err := m.s.percentile(m.pct)
 			if err != nil {
@@ -672,74 +875,43 @@ func runMixed(l *leg) error {
 			}
 			l.add(m.name, "ms", v)
 		}
-	}
-	if err := generatorBacklog(late, p.mixedPeriod); err != nil {
-		l.check(false, "serve-mixed: invalid run: %v", err)
-	}
-	l.latency = true
-	if v, err := lookups.percentile(50); err == nil {
-		l.primary = v
-	}
-	if l.tr != nil {
-		lateMax, lateFrames := time.Duration(0), 0
-		for _, d := range late {
-			lateMax = max(lateMax, d)
-			if d > p.mixedPeriod {
-				lateFrames++
+		// The tails are reported where the phase gave them enough samples;
+		// they are not gated (see METRICS.md).
+		for _, m := range []struct {
+			name string
+			s    samples
+			pct  float64
+		}{
+			{"ack_p99_ms", s.acks, 99}, {"lookup_p99_ms", s.lookups, 99},
+			{"topk_p90_ms", s.topks, 90}, {"summary_p90_ms", s.sums, 90},
+		} {
+			if v, err := m.s.percentile(m.pct); err == nil {
+				l.add(m.name, "ms", v)
 			}
 		}
-		l.layers["driver.gen_late_max_ms"] = ms(lateMax)
-		l.layers["driver.gen_late_frames"] = float64(lateFrames)
-		for _, q := range []struct {
-			name       string
-			wire, inpr samples
-		}{{"lookup", lookups, inLookup}, {"topk", topks, inTopK}, {"summary", sums, inSum}} {
-			w, err1 := q.wire.percentile(50)
-			in, err2 := q.inpr.percentile(50)
-			if err := firstOf(err1, err2); err != nil {
-				return fmt.Errorf("%s overhead: %w", q.name, err)
-			}
-			l.layers["window.inproc_"+q.name+"_us"] = in * 1e3
-			l.layers["client.query_overhead_us."+q.name] = (w - in) * 1e3
+		return nil
+	}
+	lateMax, lateFrames := time.Duration(0), 0
+	for _, d := range s.late {
+		lateMax = max(lateMax, d)
+		if d > period {
+			lateFrames++
 		}
 	}
-
-	// Correctness: the exact total, and wire answers equal to in-process
-	// answers over one fixed range once ingest has stopped.
-	verify := l.lg.open(opPhaseVerify, 0)
-	defer l.lg.close(verify)
-	vid := l.lg.id(verify)
-	n := uint64((histFrames + len(late)) * p.mixedFrame)
-	total, _, err := windowedTotals(r.wm, l.lg, vid)
-	if err != nil {
-		return err
+	l.layers["driver.gen_late_max_ms"] = ms(lateMax)
+	l.layers["driver.gen_late_frames"] = float64(lateFrames)
+	for _, q := range []struct {
+		name       string
+		wire, inpr samples
+	}{{"lookup", s.lookups, s.inLookup}, {"topk", s.topks, s.inTopK}, {"summary", s.sums, s.inSum}} {
+		w, err1 := q.wire.percentile(50)
+		in, err2 := q.inpr.percentile(50)
+		if err := firstOf(err1, err2); err != nil {
+			return fmt.Errorf("%s overhead: %w", q.name, err)
+		}
+		l.layers["window.inproc_"+q.name+"_us"] = in * 1e3
+		l.layers["client.query_overhead_us."+q.name] = (w - in) * 1e3
 	}
-	l.check(total == n, "serve-mixed: store holds %d packets after %d acked inserts", total, n)
-	t1 := evStart.Add(time.Duration(len(late)) * p.mixedPeriod)
-	t0 := t1.Add(-p.readRange)
-	wv, wok, err1 := reader.Lookup(probeSrc, probeDst)
-	wtop, err2 := reader.RangeTopSources(lookupTopK, t0, t1)
-	wsum, err3 := reader.RangeSummary(t0, t1)
-	if err := firstOf(l.op(err1), l.op(err2), l.op(err3)); err != nil {
-		return fmt.Errorf("serve-mixed verify: %w", err)
-	}
-	all, err := r.wm.AllTime()
-	if err != nil {
-		return err
-	}
-	iv, iok, err1 := all.Lookup(probeSrc, probeDst)
-	rg, err2 := r.wm.QueryRange(t0, t1)
-	if err := firstOf(err1, err2); err != nil {
-		return err
-	}
-	itop, err1 := rg.TopSources(lookupTopK)
-	isum, err2 := rg.Summary()
-	if err := firstOf(err1, err2); err != nil {
-		return err
-	}
-	l.check(wv == iv && wok == iok, "serve-mixed: wire Lookup %d/%v, in-process %d/%v", wv, wok, iv, iok)
-	l.check(slices.Equal(wtop, itop), "serve-mixed: wire RangeTopSources %v, in-process %v", wtop, itop)
-	l.check(wsum == isum, "serve-mixed: wire RangeSummary %+v, in-process %+v", wsum, isum)
 	return nil
 }
 
