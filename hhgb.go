@@ -534,21 +534,16 @@ func topDestinationsOf(q *gb.Matrix[uint64], k int) ([]Ranked, error) {
 	return rankedOf(v, k)
 }
 
-// summaryOf computes the aggregate statistics of a materialized query
-// matrix.
-func summaryOf(q *gb.Matrix[uint64]) (Summary, error) {
-	s, err := stats.Summarize(q)
-	if err != nil {
-		return Summary{}, err
-	}
+// summaryFromDigest renames a gb.DigestOf result into traffic terms.
+func summaryFromDigest(d gb.Digest[uint64]) Summary {
 	return Summary{
-		Entries:      s.Entries,
-		Sources:      s.Sources,
-		Destinations: s.Destinations,
-		TotalPackets: s.TotalPackets,
-		MaxOutDegree: s.MaxOutDegree,
-		MaxInDegree:  s.MaxInDegree,
-	}, nil
+		Entries:      d.Entries,
+		Sources:      d.Rows,
+		Destinations: d.Cols,
+		TotalPackets: d.Total,
+		MaxOutDegree: d.MaxRowDegree,
+		MaxInDegree:  d.MaxColDegree,
+	}
 }
 
 func rankedOf(v *gb.Vector[uint64], k int) ([]Ranked, error) {
@@ -569,7 +564,7 @@ func (t *TrafficMatrix) Summary() (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
-	return summaryOf(q)
+	return summaryFromDigest(gb.DigestOf(q)), nil
 }
 
 // Stats returns the cumulative ingest counters.

@@ -559,3 +559,35 @@ func TestDiag(t *testing.T) {
 		t.Fatalf("diag(6,6) = %d", x)
 	}
 }
+
+// TestDigestOfBruteForce compares DigestOf with map-based counting over
+// random matrices on both sides of the column sort's radix cutoff, in
+// narrow index spaces (heavy row and column collisions) and in wide ones.
+func TestDigestOfBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		dim := Index(40)
+		if trial%2 == 1 {
+			dim = ^Index(0)
+		}
+		m := randMatrix(r, dim, dim, []int{20, 200, 3000}[trial%3])
+		var want Digest[int64]
+		rowDeg, colDeg := map[Index]uint64{}, map[Index]uint64{}
+		for ij, v := range denseOf(m) {
+			want.Entries++
+			want.Total += v
+			rowDeg[ij[0]]++
+			colDeg[ij[1]]++
+		}
+		want.Rows, want.Cols = len(rowDeg), len(colDeg)
+		for _, d := range rowDeg {
+			want.MaxRowDegree = max(want.MaxRowDegree, d)
+		}
+		for _, d := range colDeg {
+			want.MaxColDegree = max(want.MaxColDegree, d)
+		}
+		if got := DigestOf(m); got != want {
+			t.Fatalf("trial %d: DigestOf = %+v, want %+v", trial, got, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package gb
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ReduceScalar folds all stored values of a with the monoid, returning the
 // monoid identity for an empty matrix.
@@ -56,11 +59,12 @@ func ReduceCols[T Number](a *Matrix[T], m Monoid[T]) (*Vector[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	// Accumulate per distinct column via staged tuples; Wait sorts and
-	// combines them with the monoid operator.
+	// Accumulate per distinct column via staged tuples; Wait radix-sorts
+	// them by column and combines them with the monoid operator.
 	if err := v.SetAccum(m.Op); err != nil {
 		return nil, err
 	}
+	v.pending = make([]vecTuple[T], 0, len(a.col))
 	for k := range a.rows {
 		for p := a.ptr[k]; p < a.ptr[k+1]; p++ {
 			v.pending = append(v.pending, vecTuple[T]{idx: a.col[p], val: a.val[p]})
@@ -68,4 +72,59 @@ func ReduceCols[T Number](a *Matrix[T], m Monoid[T]) (*Vector[T], error) {
 	}
 	v.Wait()
 	return v, nil
+}
+
+// Digest is a matrix's headline shape: how many entries, non-empty rows and
+// non-empty columns it stores, the sum of its values, and its largest row
+// and column pattern degrees (stored entries per row or column). On a
+// traffic matrix these are the entry, source and destination counts, the
+// packet total, and the max out- and in-degree.
+type Digest[T Number] struct {
+	Entries      int
+	Rows, Cols   int
+	Total        T
+	MaxRowDegree uint64
+	MaxColDegree uint64
+}
+
+// DigestOf computes a's Digest in one linear pass over the DCSR arrays:
+// entry and row counts and the row degrees come from the row pointers, the
+// total from one sweep of the values (folded in storage order, like
+// ReduceScalar with plus), and the column count and column degrees from a
+// radix sort of a copy of the column ids alone — no degree vectors and no
+// value copies.
+func DigestOf[T Number](a *Matrix[T]) Digest[T] {
+	a.Wait()
+	d := Digest[T]{Entries: len(a.col), Rows: len(a.rows)}
+	for k := range a.rows {
+		if deg := uint64(a.ptr[k+1] - a.ptr[k]); deg > d.MaxRowDegree {
+			d.MaxRowDegree = deg
+		}
+	}
+	for _, x := range a.val {
+		d.Total += x
+	}
+	n := len(a.col)
+	cols := append([]uint64(nil), a.col...)
+	if n >= 128 {
+		andKey, orKey := ^uint64(0), uint64(0)
+		for _, c := range cols {
+			andKey &= c
+			orKey |= c
+		}
+		none := make([]struct{}, n)
+		cols, _ = radixSortPacked(cols, make([]uint64, n), none, none, andKey, orKey)
+	} else {
+		slices.Sort(cols)
+	}
+	for k := 0; k < n; {
+		j := k + 1
+		for j < n && cols[j] == cols[k] {
+			j++
+		}
+		d.Cols++
+		d.MaxColDegree = max(d.MaxColDegree, uint64(j-k))
+		k = j
+	}
+	return d
 }

@@ -1,9 +1,6 @@
 package gb
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // vecTuple is a staged vector update.
 type vecTuple[T Number] struct {
@@ -141,59 +138,64 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	}
 }
 
-// Wait materializes pending vector updates (sort, combine, union-merge).
+// Wait materializes pending vector updates: a stable sort of the batch by
+// index, duplicates folded left to right with the accumulator (so they
+// combine in insertion order, exactly even for float or non-commutative
+// operators), then a union-merge with the stored entries. The sort is the
+// matrix Wait's: an LSD radix sort for 128 or more pending updates —
+// linear in the batch, which is what keeps column reductions (ReduceCols,
+// and every in-degree and column-sum vector built on it) linear — and a
+// stable insertion sort below that.
 func (v *Vector[T]) Wait() {
 	if len(v.pending) == 0 {
 		return
 	}
-	p := v.pending
+	n := len(v.pending)
+	ka, va := make([]uint64, n), make([]T, n)
+	andKey, orKey := ^uint64(0), uint64(0)
+	for k, t := range v.pending {
+		ka[k], va[k] = t.idx, t.val
+		andKey &= t.idx
+		orKey |= t.idx
+	}
 	v.pending = nil
-	slices.SortStableFunc(p, func(a, b vecTuple[T]) int {
-		switch {
-		case a.idx < b.idx:
-			return -1
-		case a.idx > b.idx:
-			return 1
-		default:
-			return 0
-		}
-	})
+	if n >= 128 {
+		ka, va = radixSortPacked(ka, make([]uint64, n), va, make([]T, n), andKey, orKey)
+	} else {
+		insertionSortPacked(ka, va)
+	}
 	w := 0
-	for r := 1; r < len(p); r++ {
-		if p[r].idx == p[w].idx {
-			p[w].val = v.accum(p[w].val, p[r].val)
+	for r := 1; r < n; r++ {
+		if ka[r] == ka[w] {
+			va[w] = v.accum(va[w], va[r])
 		} else {
 			w++
-			p[w] = p[r]
+			ka[w], va[w] = ka[r], va[r]
 		}
 	}
-	p = p[:w+1]
+	pidx, pval := ka[:w+1], va[:w+1]
 
 	if len(v.idx) == 0 {
-		v.idx = make([]Index, len(p))
-		v.val = make([]T, len(p))
-		for k := range p {
-			v.idx[k] = p[k].idx
-			v.val[k] = p[k].val
-		}
+		v.idx = append([]Index(nil), pidx...)
+		v.val = append([]T(nil), pval...)
 		return
 	}
-	nidx := make([]Index, 0, len(v.idx)+len(p))
-	nval := make([]T, 0, len(v.val)+len(p))
+	nidx := make([]Index, 0, len(v.idx)+len(pidx))
+	nval := make([]T, 0, len(v.val)+len(pidx))
 	i, j := 0, 0
-	for i < len(v.idx) || j < len(p) {
+	for i < len(v.idx) || j < len(pidx) {
 		switch {
-		case j >= len(p) || (i < len(v.idx) && v.idx[i] < p[j].idx):
+		case j >= len(pidx) || (i < len(v.idx) && v.idx[i] < pidx[j]):
 			nidx = append(nidx, v.idx[i])
 			nval = append(nval, v.val[i])
 			i++
-		case i >= len(v.idx) || p[j].idx < v.idx[i]:
-			nidx = append(nidx, p[j].idx)
-			nval = append(nval, p[j].val)
+		case i >= len(v.idx) || pidx[j] < v.idx[i]:
+			nidx = append(nidx, pidx[j])
+			nval = append(nval, pval[j])
 			j++
 		default:
 			nidx = append(nidx, v.idx[i])
-			nval = append(nval, v.accum(v.val[i], p[j].val))
+			nval = append(nval, v.accum(v.val[i], pval[j]))
 			i++
 			j++
 		}

@@ -1,8 +1,12 @@
 package gb
 
 import (
+	"cmp"
 	"errors"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +227,85 @@ func TestVectorHugeIndexSpace(t *testing.T) {
 	x, err := v.ExtractElement(1 << 59)
 	if err != nil || x != 42 {
 		t.Fatalf("got %d, %v", x, err)
+	}
+}
+
+// refVecWait is the reference the radix Vector.Wait must match bit for
+// bit: a stable comparison sort of the staged tuples by index, duplicates
+// folded left to right, then each folded value combined into the stored
+// one (stored value as left operand) — the pre-radix implementation.
+func refVecWait[T Number](stored map[Index]T, pending []vecTuple[T], op BinaryOp[T]) map[Index]T {
+	p := append([]vecTuple[T](nil), pending...)
+	slices.SortStableFunc(p, func(a, b vecTuple[T]) int { return cmp.Compare(a.idx, b.idx) })
+	out := maps.Clone(stored)
+	for k := 0; k < len(p); {
+		acc := p[k].val
+		j := k + 1
+		for ; j < len(p) && p[j].idx == p[k].idx; j++ {
+			acc = op(acc, p[j].val)
+		}
+		if old, ok := out[p[k].idx]; ok {
+			acc = op(old, acc)
+		}
+		out[p[k].idx] = acc
+		k = j
+	}
+	return out
+}
+
+// TestVectorWaitRadixMatchesStableSort drives Vector.Wait through both
+// sort paths (below and at or above the 128-tuple radix cutoff) with many
+// duplicates, indices spread over a 2^64-1 index space up to n-1, float64
+// plus (rounding depends on fold order) and a non-commutative,
+// non-associative accumulator, and compares every result bit for bit with
+// the stable-sort reference — after a first batch and again after a second
+// batch merges into the stored entries.
+func TestVectorWaitRadixMatchesStableSort(t *testing.T) {
+	const n = ^Index(0) // indices up to n-1 = 2^64-2
+	ops := []struct {
+		name string
+		op   BinaryOp[float64]
+	}{
+		{"plus", Plus[float64]().Op},
+		{"noncommutative", func(x, y float64) float64 { return 2*x - y/3 }},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, o := range ops {
+		name, op := o.name, o.op
+		for _, size := range []int{1, 2, 127, 128, 129, 1000, 5000} {
+			// A small pool of distinct indices forces many duplicates; it
+			// always holds 0 and n-1 and otherwise spans all 64 bits.
+			pool := []Index{0, n - 1, n - 2, 1 << 32, 1<<32 - 1}
+			for len(pool) < 1+size/8 {
+				pool = append(pool, Index(rng.Uint64()%uint64(n)))
+			}
+			v := MustNewVector[float64](n)
+			if err := v.SetAccum(op); err != nil {
+				t.Fatal(err)
+			}
+			want := map[Index]float64{}
+			for round := 0; round < 2; round++ {
+				batch := make([]vecTuple[float64], size)
+				for k := range batch {
+					batch[k] = vecTuple[float64]{idx: pool[rng.Intn(len(pool))], val: rng.NormFloat64() * 1e3}
+					if err := v.SetElement(batch[k].idx, batch[k].val); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = refVecWait(want, batch, op)
+				idx, val := v.ExtractTuples()
+				if len(idx) != len(want) {
+					t.Fatalf("%s size %d round %d: %d entries, want %d", name, size, round, len(idx), len(want))
+				}
+				for k, i := range idx {
+					if k > 0 && idx[k-1] >= i {
+						t.Fatalf("%s size %d round %d: indices not strictly ascending at %d", name, size, round, k)
+					}
+					if math.Float64bits(val[k]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s size %d round %d: v(%d) = %v, want %v", name, size, round, i, val[k], want[i])
+					}
+				}
+			}
+		}
 	}
 }

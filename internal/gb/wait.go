@@ -127,8 +127,9 @@ func (m *Matrix[T]) sortPendingWide() {
 // buffer pairs. Counting sort is stable, so the composition is stable.
 // Byte positions where every key agrees (and/or masks) are skipped —
 // power-law batches typically need only 4-6 of the 8 passes. Returns the
-// buffer pair holding the sorted result.
-func radixSortPacked[T Number](ka, kb []uint64, va, vb []T, andKey, orKey uint64) ([]uint64, []T) {
+// buffer pair holding the sorted result. A zero-size V (struct{}) sorts
+// the keys alone.
+func radixSortPacked[V any](ka, kb []uint64, va, vb []V, andKey, orKey uint64) ([]uint64, []V) {
 	n := len(ka)
 	var counts [256]int
 	for shift := uint(0); shift < 64; shift += 8 {

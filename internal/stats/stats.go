@@ -156,34 +156,19 @@ type Summary struct {
 	MaxInDegree uint64
 }
 
-// Summarize computes a Summary with GraphBLAS reductions.
+// Summarize computes a Summary with the linear-time digest kernel
+// (gb.DigestOf): one pass over the DCSR arrays plus a radix sort of the
+// column ids, with no degree vectors materialized.
 func Summarize(m *gb.Matrix[uint64]) (Summary, error) {
-	var s Summary
-	s.Entries = m.NVals()
-	total, err := gb.ReduceScalar(m, gb.Plus[uint64]())
-	if err != nil {
-		return s, err
-	}
-	s.TotalPackets = total
-	od, err := OutDegrees(m)
-	if err != nil {
-		return s, err
-	}
-	id, err := InDegrees(m)
-	if err != nil {
-		return s, err
-	}
-	s.Sources = od.NVals()
-	s.Destinations = id.NVals()
-	s.MaxOutDegree, err = gb.VecReduce(od, gb.MaxWith[uint64](0))
-	if err != nil {
-		return s, err
-	}
-	s.MaxInDegree, err = gb.VecReduce(id, gb.MaxWith[uint64](0))
-	if err != nil {
-		return s, err
-	}
-	return s, nil
+	d := gb.DigestOf(m)
+	return Summary{
+		Entries:      d.Entries,
+		Sources:      d.Rows,
+		Destinations: d.Cols,
+		TotalPackets: d.Total,
+		MaxOutDegree: d.MaxRowDegree,
+		MaxInDegree:  d.MaxColDegree,
+	}, nil
 }
 
 // Background maintains an exponentially weighted moving-average model of

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hhgb/internal/gb"
+	"hhgb/internal/powerlaw"
 )
 
 // sample builds the matrix
@@ -275,4 +276,73 @@ func TestTopKDelegatesToSelect(t *testing.T) {
 	if len(top) != 2 || top[0] != (Entry{Index: 4, Value: 7}) || top[1] != (Entry{Index: 1, Value: 6}) {
 		t.Fatalf("TopK = %+v", top)
 	}
+}
+
+// TestSummarizeWideIndices checks the degree maxima on a hand-built matrix
+// whose ids all need more than 32 bits, with enough entries that the
+// column-id sort takes the radix path: source 2^33 fans out to 200
+// destinations, destination 2^63+5 is fanned into by 150 sources (one of
+// them 2^33), and one more cell repeats an update.
+func TestSummarizeWideIndices(t *testing.T) {
+	m := gb.MustNewMatrix[uint64](^gb.Index(0), ^gb.Index(0))
+	hubSrc, hubDst := gb.Index(1)<<33, gb.Index(1)<<63+5
+	var rows, cols []gb.Index
+	var vals []uint64
+	add := func(r, c gb.Index, v uint64) {
+		rows, cols, vals = append(rows, r), append(cols, c), append(vals, v)
+	}
+	for k := 0; k < 199; k++ {
+		add(hubSrc, gb.Index(1)<<35+gb.Index(k)<<32, 1)
+	}
+	add(hubSrc, hubDst, 2)
+	for k := 1; k < 150; k++ {
+		add(gb.Index(1)<<40+gb.Index(k), hubDst, 3)
+	}
+	add(gb.Index(1)<<40+1, hubDst, 4) // repeats a cell: adds weight, not degree
+	if err := m.AppendTuples(rows, cols, vals); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Summarize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Summary{
+		Entries:      199 + 1 + 149,
+		Sources:      1 + 149,
+		Destinations: 199 + 1,
+		TotalPackets: 199 + 2 + 149*3 + 4,
+		MaxOutDegree: 200,
+		MaxInDegree:  150,
+	}
+	if s != want {
+		t.Fatalf("summary = %+v, want %+v", s, want)
+	}
+}
+
+// BenchmarkSummarize measures the digest kernel on 2^18 Graph500 R-MAT
+// updates at scale 24, assembled.
+func BenchmarkSummarize(b *testing.B) {
+	const n, scale = 1 << 18, 24
+	g, err := powerlaw.NewRMAT(scale, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, cols, vals := make([]gb.Index, n), make([]gb.Index, n), make([]uint64, n)
+	if err := g.Fill(rows, cols); err != nil {
+		b.Fatal(err)
+	}
+	for k := range vals {
+		vals[k] = 1
+	}
+	m, err := gb.MatrixFromTuples(1<<scale, 1<<scale, rows, cols, vals, gb.Plus[uint64]().Op)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Summarize(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(m.NVals())/b.Elapsed().Seconds(), "entries/s")
 }

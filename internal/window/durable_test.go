@@ -416,3 +416,50 @@ func TestDurableLifecycleErrors(t *testing.T) {
 	}
 	rec.Close()
 }
+
+// TestRangeMatchesFlatReferenceAfterRecover reruns the flat-reference
+// checks on a recovered store. Recovery computes no digests; a sealed
+// window's digest fills lazily on its first single-window read and then
+// serves later reads unchanged.
+func TestRangeMatchesFlatReferenceAfterRecover(t *testing.T) {
+	const nWindows = 16
+	entries := genEntries(7, 4000, nWindows)
+	cfg := durableCfg(t.TempDir())
+	s, err := New[uint64](dim, dim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, entries)
+	if err := s.Seal(8 * int64(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().RollUps; got != 2 {
+		t.Fatalf("RollUps = %d, want 2", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, _, err := Recover[uint64](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for k, w := range rec.wins {
+		if w.digest.Load() != nil {
+			t.Fatalf("window %+v has a digest straight after recovery", k)
+		}
+	}
+	sec := int64(time.Second)
+	checkRangesAgainstReference(t, rec, entries, rangeSpans(nWindows))
+	for _, k := range []key{{0, 3 * sec}, {1, 0}, {1, 4 * sec}} {
+		if rec.wins[k].digest.Load() == nil {
+			t.Fatalf("sealed window %+v served a single-window Summary but stored no digest", k)
+		}
+	}
+	if rec.wins[key{0, 9 * sec}].digest.Load() != nil {
+		t.Fatal("active window [9s,10s) stored a digest")
+	}
+	// A second pass reads the stored digests.
+	checkRangesAgainstReference(t, rec, entries, rangeSpans(nWindows))
+}

@@ -117,10 +117,10 @@ func (s *Store[T]) QueryRange(t0, t1 int64) (*Range[T], error) {
 	starts := map[int64][]*win[T]{}
 	var positions []int64
 	for _, w := range s.wins {
-		if w.state == Expired || w.end <= lo || w.start >= hi {
+		if w.loadState() == Expired || w.end <= lo || w.start >= hi {
 			continue
 		}
-		if w.level > 0 && w.state != Sealed {
+		if w.level > 0 && w.loadState() != Sealed {
 			continue
 		}
 		if len(starts[w.start]) == 0 {
@@ -287,11 +287,48 @@ func (r *Range[T]) TopCols(k int) ([]stats.Top[T], error) {
 	return stats.SelectTopK(v, k)
 }
 
+// sealedSingle returns the cover's only window when the cover is exactly
+// one sealed (or since expired) window — level 0 or a roll-up — whose
+// stored digest can answer Summary and NVals; nil otherwise.
+func (r *Range[T]) sealedSingle() *win[T] {
+	if len(r.cover) == 1 && r.cover[0].immutable() {
+		return r.cover[0]
+	}
+	return nil
+}
+
+// Summary digests the range: the entry, row and column counts, the value
+// total and the max row and column degrees of the cover's sum. A cover of
+// exactly one sealed window answers from that window's stored digest —
+// computed when it sealed, or on its first such read after recovery — in
+// one leg; any other cover is materialized and run through the linear
+// gb.DigestOf kernel, cost proportional to the cover's nnz.
+func (r *Range[T]) Summary() (gb.Digest[T], error) {
+	if w := r.sealedSingle(); w != nil {
+		var d gb.Digest[T]
+		err := r.leg(0, w, func(w *win[T]) (err error) {
+			d, err = w.sealedDigest()
+			return err
+		})
+		return d, err
+	}
+	m, err := r.Materialize()
+	if err != nil {
+		return gb.Digest[T]{}, err
+	}
+	return gb.DigestOf(m), nil
+}
+
 // NVals returns the number of distinct stored cells over the range. Unlike
 // sums, distinct counts are not additive across windows (a cell may recur
-// in several), so this materializes the cover's sum — cost proportional to
-// the cover's nnz, still bounded by the windows touched.
+// in several), so a cover of several windows (or of one still-active
+// window) materializes the cover's sum — cost proportional to its nnz;
+// a cover of one sealed window answers from the stored digest.
 func (r *Range[T]) NVals() (int, error) {
+	if r.sealedSingle() != nil {
+		d, err := r.Summary()
+		return d.Entries, err
+	}
 	m, err := r.Materialize()
 	if err != nil {
 		return 0, err

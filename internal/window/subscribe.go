@@ -12,11 +12,13 @@ import (
 // itself sealed regardless); the counting fields are zero then.
 type Summary[T gb.Number] struct {
 	Level        int
-	Start, End   int64 // the window's event-time bounds, unix nanoseconds
-	Entries      int   // distinct stored cells
-	Sources      int   // non-empty rows
-	Destinations int   // non-empty columns
-	Total        T     // sum of stored values
+	Start, End   int64  // the window's event-time bounds, unix nanoseconds
+	Entries      int    // distinct stored cells
+	Sources      int    // non-empty rows
+	Destinations int    // non-empty columns
+	Total        T      // sum of stored values
+	MaxOutDegree uint64 // most stored cells in one row
+	MaxInDegree  uint64 // most stored cells in one column
 	Err          error
 }
 

@@ -50,6 +50,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hhgb/internal/flight"
@@ -142,10 +143,12 @@ type key struct {
 
 // win is one window: a shard.Group plus lifecycle state.
 //
-// Locking: state, queries, and rolled are guarded by the store mutex. wmu
-// is the append/seal barrier: appenders hold it shared around g.Update,
-// the sealer holds it exclusively while flipping state to Sealing — so a
-// seal never runs with an append in flight, and the seal-time summary is
+// Locking: queries and rolled are guarded by the store mutex. state is
+// atomic: appenders read it under wmu while the scheduler writes it under
+// the store mutex, so neither lock alone could own it. wmu is the
+// append/seal barrier: appenders hold it shared around g.Update, the
+// sealer takes it exclusively after flipping state to Sealing — so a seal
+// never runs with an append in flight, and the seal-time summary is
 // complete.
 type win[T gb.Number] struct {
 	level      int
@@ -154,9 +157,15 @@ type win[T gb.Number] struct {
 	dir        string // durable subdirectory; "" when in-memory
 
 	wmu     sync.RWMutex
-	state   State
-	rolled  bool  // summed into a sealed parent window
-	queries int64 // range-query cover inclusions (tests assert span locality)
+	state   atomic.Int32 // a State; see loadState and storeState
+	rolled  bool         // summed into a sealed parent window
+	queries int64        // range-query cover inclusions (tests assert span locality)
+
+	// digest is the sealed window's gb.DigestOf, stored by sealWin and
+	// filled lazily on a recovered window's first single-window read (see
+	// sealedDigest). Atomic for the same reason as state: a sealed window
+	// is read by queries holding no lock. Nil until first computed.
+	digest atomic.Pointer[gb.Digest[T]]
 
 	// sessHigh, stashed when the window seals (and at recovery for sealed
 	// windows), is the group's merged session high-water table: per client
@@ -165,6 +174,29 @@ type win[T gb.Number] struct {
 	// acked — instead of refused with ErrLate. Immutable once stashed;
 	// guarded by the store mutex until then (nil while active).
 	sessHigh map[string]uint64
+}
+
+func (w *win[T]) loadState() State    { return State(w.state.Load()) }
+func (w *win[T]) storeState(st State) { w.state.Store(int32(st)) }
+
+// immutable reports whether the window is Sealed or Expired: its group is
+// closed, so its contents, and its digest, can no longer change.
+func (w *win[T]) immutable() bool { return w.loadState() >= Sealed }
+
+// sealedDigest returns a sealed (or expired) window's digest, computing
+// and storing it on first use. Its group is closed, so the digest can
+// never go stale; two readers racing the first fill compute equal values.
+func (w *win[T]) sealedDigest() (gb.Digest[T], error) {
+	if d := w.digest.Load(); d != nil {
+		return *d, nil
+	}
+	q, err := w.g.Query()
+	if err != nil {
+		return gb.Digest[T]{}, err
+	}
+	d := gb.DigestOf(q)
+	w.digest.Store(&d)
+	return d, nil
 }
 
 // Store is a temporal window store over one logical nrows x ncols matrix.
@@ -385,10 +417,10 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 		s.watermark = ts
 	}
 	start := alignDown(ts, s.spans[0])
-	if start < s.sealedTo {
+	if frontier := s.sealedTo; start < frontier {
 		s.stats.LateDrops += int64(len(rows))
 		s.mu.Unlock()
-		return fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, s.sealedTo)
+		return fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, frontier)
 	}
 	w := s.wins[key{0, start}]
 	if w == nil {
@@ -406,7 +438,7 @@ func (s *Store[T]) Append(ts int64, rows, cols []gb.Index, vals []T) error {
 	// summary always includes every append that beat it here.
 	w.wmu.RLock()
 	var err error
-	if w.state != Active {
+	if w.loadState() != Active {
 		// The window was picked for sealing between the lookup and the
 		// lock: the entry became late mid-flight (another producer pushed
 		// the watermark past it). Refuse it exactly like any late append.
@@ -467,17 +499,17 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 		s.watermark = ts
 	}
 	start := alignDown(ts, s.spans[0])
-	if start < s.sealedTo {
+	if frontier := s.sealedTo; start < frontier {
 		// Behind the frontier: a retransmission of a frame the sealed
 		// window already holds is a duplicate, not a late arrival.
-		if w := s.wins[key{0, start}]; w != nil && w.state == Sealed && seq <= w.sessHigh[session] {
+		if w := s.wins[key{0, start}]; w != nil && w.loadState() == Sealed && seq <= w.sessHigh[session] {
 			s.mu.Unlock()
 			s.advanceAccepted(session, seq)
 			return true, nil
 		}
 		s.stats.LateDrops += int64(len(rows))
 		s.mu.Unlock()
-		return false, fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, s.sealedTo)
+		return false, fmt.Errorf("%w: ts %d is before frontier %d", ErrLate, ts, frontier)
 	}
 	w := s.wins[key{0, start}]
 	if w == nil {
@@ -493,7 +525,7 @@ func (s *Store[T]) AppendSessionSpan(session string, seq uint64, ts int64, rows,
 	w.wmu.RLock()
 	var dup bool
 	var err error
-	if w.state != Active {
+	if w.loadState() != Active {
 		err = fmt.Errorf("%w: window [%d,%d) sealed mid-append", ErrLate, w.start, w.end)
 		s.mu.Lock()
 		s.stats.LateDrops += int64(len(rows))
@@ -637,8 +669,8 @@ func (s *Store[T]) scheduleSealsLocked() bool {
 func (s *Store[T]) scheduleSealsTo(target int64) bool {
 	var due []*win[T]
 	for _, w := range s.wins {
-		if w.level == 0 && w.state == Active && w.end <= target {
-			w.state = Sealing
+		if w.level == 0 && w.loadState() == Active && w.end <= target {
+			w.storeState(Sealing)
 			s.stats.Active--
 			due = append(due, w)
 		}
@@ -699,7 +731,7 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	sum := s.summarize(w)
 	s.mu.Lock()
 	w.sessHigh = highs
-	w.state = Sealed
+	w.storeState(Sealed)
 	s.stats.Seals++
 	s.stats.Sealed++
 	lag := s.watermark - w.end
@@ -727,35 +759,23 @@ func (s *Store[T]) sealWin(w *win[T]) {
 	s.cfg.Metrics.SummariesPushed.Add(delivered)
 }
 
-// summarize computes a sealed window's published summary in ONE row-major
-// pass over the window's merged matrix: total and distinct-row count fall
-// out of the iteration order, distinct columns from a set. The pushdown
-// vector reductions would answer the same questions, but their
-// column-wise vectors pay a comparison sort per seal — an order of
-// magnitude over this scan on the profile — and a sealed window will
-// never amortize a cache fill.
+// summarize computes a sealed window's published summary from its digest,
+// which it stores on the window for single-window range reads (see
+// Range.Summary): one linear gb.DigestOf pass over the closed group's
+// merged matrix.
 func (s *Store[T]) summarize(w *win[T]) Summary[T] {
 	sum := Summary[T]{Level: w.level, Start: w.start, End: w.end}
-	q, err := w.g.Query()
+	d, err := w.sealedDigest()
 	if err != nil {
 		sum.Err = err
 		return sum
 	}
-	sum.Entries = q.NVals()
-	var total T
-	cols := make(map[gb.Index]struct{}, sum.Entries)
-	var lastRow gb.Index
-	q.Iterate(func(i, j gb.Index, v T) bool {
-		total += v
-		if sum.Sources == 0 || i != lastRow {
-			sum.Sources++
-			lastRow = i
-		}
-		cols[j] = struct{}{}
-		return true
-	})
-	sum.Total = total
-	sum.Destinations = len(cols)
+	sum.Entries = d.Entries
+	sum.Sources = d.Rows
+	sum.Destinations = d.Cols
+	sum.Total = d.Total
+	sum.MaxOutDegree = d.MaxRowDegree
+	sum.MaxInDegree = d.MaxColDegree
 	return sum
 }
 
@@ -773,7 +793,7 @@ func (s *Store[T]) rollUp() {
 			// parent span is the roll-up candidate.
 			var first *win[T]
 			for _, w := range s.wins {
-				if w.level == lvl && w.state == Sealed && !w.rolled {
+				if w.level == lvl && w.loadState() == Sealed && !w.rolled {
 					if first == nil || w.start < first.start {
 						first = w
 					}
@@ -791,7 +811,7 @@ func (s *Store[T]) rollUp() {
 			}
 			var children []*win[T]
 			for b := pstart; b < pend; b += s.spans[lvl] {
-				if c := s.wins[key{lvl, b}]; c != nil && c.state == Sealed && !c.rolled {
+				if c := s.wins[key{lvl, b}]; c != nil && c.loadState() == Sealed && !c.rolled {
 					children = append(children, c)
 				}
 			}
@@ -884,7 +904,7 @@ func (s *Store[T]) materializeParent(level int, pstart int64, children []*win[T]
 		return err
 	}
 	s.mu.Lock()
-	p.state = Sealing
+	p.storeState(Sealing)
 	s.stats.RollUps++
 	s.mu.Unlock()
 	s.cfg.Shard.Flight.Record(flight.KindRollup, 0, "", 0, uint64(level), uint64(len(children)), wallSince(begun))
@@ -899,7 +919,7 @@ func (s *Store[T]) expire() {
 	s.mu.Lock()
 	var victims []*win[T]
 	for k, w := range s.wins {
-		if w.state != Sealed {
+		if w.loadState() != Sealed {
 			continue
 		}
 		r := s.retention(w.level)
@@ -907,7 +927,7 @@ func (s *Store[T]) expire() {
 			continue
 		}
 		if s.watermark-w.end >= r {
-			w.state = Expired
+			w.storeState(Expired)
 			s.stats.Sealed--
 			s.stats.Expired++
 			delete(s.wins, k)
@@ -946,7 +966,7 @@ func (s *Store[T]) Flush() error {
 	}
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.loadState() == Active {
 			live = append(live, w)
 		}
 	}
@@ -981,7 +1001,7 @@ func (s *Store[T]) Checkpoint() error {
 	}
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.loadState() == Active {
 			live = append(live, w)
 		}
 	}
@@ -1014,7 +1034,7 @@ func (s *Store[T]) Close() error {
 	s.closed = true
 	var live []*win[T]
 	for _, w := range s.wins {
-		if w.state == Active {
+		if w.loadState() == Active {
 			live = append(live, w)
 		}
 	}
@@ -1067,9 +1087,9 @@ func (s *Store[T]) Windows() []Info {
 	for _, w := range s.wins {
 		infos = append(infos, Info{
 			Level: w.level, Start: w.start, End: w.end,
-			State: w.state, Rolled: w.rolled, Queries: w.queries,
+			State: w.loadState(), Rolled: w.rolled, Queries: w.queries,
 		})
-		if w.state == Sealed {
+		if w.loadState() == Sealed {
 			sealed = append(sealed, w)
 		}
 	}

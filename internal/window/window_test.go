@@ -114,35 +114,69 @@ func matricesEqual(a, b *gb.Matrix[uint64]) bool {
 	return equal
 }
 
-// TestRangeMatchesFlatReference is the acceptance property: every range
-// query over a k-window span is bit-identical to materializing those
-// windows into one flat matrix and querying it — including when roll-ups
-// answer part of the span.
-func TestRangeMatchesFlatReference(t *testing.T) {
-	const nWindows = 16
-	entries := genEntries(7, 4000, nWindows)
-	s, err := New[uint64](dim, dim, testCfg(4))
-	if err != nil {
-		t.Fatal(err)
+// refDigest is the brute-force digest of every entry with ts in [t0, t1):
+// the cells summed in a map, then counted and degree-ranked with maps —
+// no GraphBLAS kernel involved.
+func refDigest(entries []entry, t0, t1 int64) gb.Digest[uint64] {
+	type cell struct{ r, c gb.Index }
+	cells := map[cell]bool{}
+	var d gb.Digest[uint64]
+	for _, e := range entries {
+		if e.ts >= t0 && e.ts < t1 {
+			cells[cell{e.r, e.c}] = true
+			d.Total += e.v
+		}
 	}
-	defer s.Close()
-	appendAll(t, s, entries)
-	// Seal the first 8 windows (completing two level-1 roll-ups of 4s
-	// each); windows 8..15 stay active — ranges over them still answer.
-	if err := s.Seal(8 * int64(time.Second)); err != nil {
-		t.Fatal(err)
+	rowDeg, colDeg := map[gb.Index]uint64{}, map[gb.Index]uint64{}
+	for c := range cells {
+		rowDeg[c.r]++
+		colDeg[c.c]++
 	}
-	if got := s.Stats().RollUps; got != 2 {
-		t.Fatalf("RollUps = %d, want 2", got)
+	d.Entries, d.Rows, d.Cols = len(cells), len(rowDeg), len(colDeg)
+	for _, n := range rowDeg {
+		d.MaxRowDegree = max(d.MaxRowDegree, n)
 	}
+	for _, n := range colDeg {
+		d.MaxColDegree = max(d.MaxColDegree, n)
+	}
+	return d
+}
 
-	rng := rand.New(rand.NewSource(99))
-	spans := [][2]int64{{0, 4}, {0, 8}, {2, 7}, {5, 13}, {8, 16}, {0, 16}, {3, 4}}
-	for i := 0; i < 10; i++ {
-		a := int64(rng.Intn(nWindows))
-		b := a + 1 + int64(rng.Intn(nWindows-int(a)))
-		spans = append(spans, [2]int64{a, b})
+// coverKind classifies a resolved cover by which Summary path serves it.
+type coverKind int
+
+const (
+	sealedLevel0 coverKind = iota // one sealed level-0 window: stored digest
+	sealedRollUp                  // one sealed roll-up: stored digest
+	activeOnly                    // only active windows: materialize + kernel
+	mixedCover                    // several windows, some sealed: materialize + kernel
+	numCoverKinds
+)
+
+func classify(r *Range[uint64]) coverKind {
+	if w := r.sealedSingle(); w != nil {
+		if w.level == 0 {
+			return sealedLevel0
+		}
+		return sealedRollUp
 	}
+	for _, w := range r.cover {
+		if w.immutable() {
+			return mixedCover
+		}
+	}
+	return activeOnly
+}
+
+// checkRangesAgainstReference runs every range query over each span (in
+// whole windows) and asserts it is bit-identical to the flat reference:
+// the materialized sum, NVals, Total, row sums and top rows, spot lookups,
+// and all six Summary fields against the brute-force digest. It fails
+// unless the spans exercised every coverKind.
+func checkRangesAgainstReference(t *testing.T, s *Store[uint64], entries []entry, spans [][2]int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	var kinds [numCoverKinds]int
 	for _, sp := range spans {
 		t0, t1 := sp[0]*int64(time.Second), sp[1]*int64(time.Second)
 		r, err := s.QueryRange(t0, t1)
@@ -152,6 +186,7 @@ func TestRangeMatchesFlatReference(t *testing.T) {
 		if len(r.Uncovered) != 0 {
 			t.Fatalf("range [%d,%d): unexpected uncovered %v", sp[0], sp[1], r.Uncovered)
 		}
+		kinds[classify(r)]++
 		ref := reference(t, entries, t0, t1)
 
 		got, err := r.Materialize()
@@ -161,20 +196,21 @@ func TestRangeMatchesFlatReference(t *testing.T) {
 		if !matricesEqual(got, ref) {
 			t.Fatalf("range [%d,%d)s: materialized sum differs from flat reference", sp[0], sp[1])
 		}
+		want := refDigest(entries, t0, t1)
+		sum, err := r.Summary()
+		if err != nil || sum != want {
+			t.Fatalf("range [%d,%d)s (cover kind %d): Summary = %+v (%v), want %+v", sp[0], sp[1], classify(r), sum, err, want)
+		}
 		nv, err := r.NVals()
-		if err != nil || nv != ref.NVals() {
-			t.Fatalf("range [%d,%d)s: NVals = %d (%v), want %d", sp[0], sp[1], nv, err, ref.NVals())
+		if err != nil || nv != want.Entries {
+			t.Fatalf("range [%d,%d)s: NVals = %d (%v), want %d", sp[0], sp[1], nv, err, want.Entries)
 		}
 		total, err := r.Total()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTotal, err := gb.ReduceScalar(ref, gb.Plus[uint64]())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total != wantTotal {
-			t.Fatalf("range [%d,%d)s: Total = %d, want %d", sp[0], sp[1], total, wantTotal)
+		if total != want.Total {
+			t.Fatalf("range [%d,%d)s: Total = %d, want %d", sp[0], sp[1], total, want.Total)
 		}
 		top, err := r.TopRows(5)
 		if err != nil {
@@ -230,6 +266,52 @@ func TestRangeMatchesFlatReference(t *testing.T) {
 			}
 		}
 	}
+	for k, n := range kinds {
+		if n == 0 {
+			t.Fatalf("no span exercised cover kind %d (counts %v)", k, kinds)
+		}
+	}
+}
+
+// rangeSpans is the span set for the flat-reference checks over a
+// 16-window stream whose first 8 windows are sealed into two 4-window
+// roll-ups: whole roll-ups, single sealed and active windows, active-only
+// and mixed covers, plus random spans.
+func rangeSpans(nWindows int) [][2]int64 {
+	rng := rand.New(rand.NewSource(99))
+	spans := [][2]int64{{0, 4}, {4, 8}, {0, 8}, {2, 7}, {5, 13}, {8, 16}, {0, 16}, {3, 4}, {6, 7}, {9, 10}}
+	for i := 0; i < 10; i++ {
+		a := int64(rng.Intn(nWindows))
+		b := a + 1 + int64(rng.Intn(nWindows-int(a)))
+		spans = append(spans, [2]int64{a, b})
+	}
+	return spans
+}
+
+// TestRangeMatchesFlatReference is the acceptance property: every range
+// query over a k-window span is bit-identical to materializing those
+// windows into one flat matrix and querying it — including when roll-ups
+// answer part of the span, and including Summary whether it is served
+// from a sealed window's stored digest or from the digest kernel over a
+// materialized cover.
+func TestRangeMatchesFlatReference(t *testing.T) {
+	const nWindows = 16
+	entries := genEntries(7, 4000, nWindows)
+	s, err := New[uint64](dim, dim, testCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendAll(t, s, entries)
+	// Seal the first 8 windows (completing two level-1 roll-ups of 4s
+	// each); windows 8..15 stay active — ranges over them still answer.
+	if err := s.Seal(8 * int64(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().RollUps; got != 2 {
+		t.Fatalf("RollUps = %d, want 2", got)
+	}
+	checkRangesAgainstReference(t, s, entries, rangeSpans(nWindows))
 }
 
 // TestRangeTouchesOnlyCoveredWindows asserts span locality via the

@@ -338,13 +338,16 @@ func (v *RangeView) TopDestinations(k int) ([]Ranked, error) {
 	return out, nil
 }
 
-// Summary computes the aggregate statistics of the range's traffic.
+// Summary computes the aggregate statistics of the range's traffic. A
+// range covered by exactly one sealed window answers from the digest the
+// window stored when it sealed; any other range sums its cover and runs
+// the linear digest kernel over the sum.
 func (v *RangeView) Summary() (Summary, error) {
-	m, err := v.r.Materialize()
+	d, err := v.r.Summary()
 	if err != nil {
 		return Summary{}, err
 	}
-	return summaryOf(m)
+	return summaryFromDigest(d), nil
 }
 
 // WindowSummary is the per-window digest published when a window seals.
